@@ -181,9 +181,10 @@ def main() -> int:
     )
 
     print(f"fault-injection run: {N_REQUESTS} requests, one worker killed mid-run ...")
-    # The fault run is paced to span ~2 s so the kill lands while
-    # requests are genuinely in flight (an unpaced run can finish
-    # before the injection timer fires).
+    # The kill goes out just before a quarter of the requests have been
+    # sent, so it lands mid-run on any host.  The run is paced so that
+    # the lone survivor absorbs the load while its peer respawns: it
+    # measures recovery, not shedding.
     fault_rate = RATE_RPS if RATE_RPS > 0 else N_REQUESTS / 2.0
     fault = run_loadtest(
         LoadTestConfig(
@@ -192,7 +193,7 @@ def main() -> int:
             rate_rps=fault_rate,
             n_connections=4,
             horizon_ticks=HORIZON_TICKS,
-            kill_worker_after_s=0.3,
+            kill_worker_after_requests=N_REQUESTS // 4,
             shutdown_after=True,
         )
     )

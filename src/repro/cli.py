@@ -332,12 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "interrupted run)",
     )
     p.add_argument(
-        "--kill-shard-after",
-        type=float,
+        "--kill-shard-after-ticks",
+        type=int,
         default=None,
-        metavar="S",
-        help="chaos hook: SIGKILL one shard this many seconds in "
-        "(it respawns and resumes from its partition snapshots)",
+        metavar="N",
+        help="chaos hook: the first shard owning a building SIGKILLs itself "
+        "after N processed ticks, then respawns and resumes from its snapshots",
     )
     p.add_argument(
         "--max-restarts",
@@ -436,12 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=8, help="prediction horizon per request, ticks"
     )
     p.add_argument(
-        "--kill-worker-after",
-        type=float,
+        "--kill-worker-after-requests",
+        type=int,
         default=None,
-        metavar="S",
-        help="inject a kill-worker control command this many seconds in "
-        "(needs --allow-chaos on the server)",
+        metavar="N",
+        help="inject a kill-worker control command just before request N "
+        "(0-based; needs --allow-chaos on the server)",
     )
     p.add_argument(
         "--shutdown",
@@ -932,7 +932,7 @@ def _cmd_ingest(args) -> int:
             sharded_dir,
             ShardRunnerOptions(
                 resume=args.resume,
-                kill_shard_after_s=args.kill_shard_after,
+                kill_shard_after_ticks=args.kill_shard_after_ticks,
                 max_restarts=args.max_restarts,
             ),
         )
@@ -1150,7 +1150,7 @@ def _cmd_loadtest(args) -> int:
                 rate_rps=args.rate,
                 n_connections=args.connections,
                 horizon_ticks=args.horizon,
-                kill_worker_after_s=args.kill_worker_after,
+                kill_worker_after_requests=args.kill_worker_after_requests,
                 connect_timeout_s=args.connect_timeout,
                 shutdown_after=args.shutdown,
             )

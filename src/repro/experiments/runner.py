@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from collections import Counter
@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import rng as rng_mod
+from repro.core import supervise
 from repro.core.artifacts import artifact_key, default_cache, fingerprint, source_digest
 from repro.errors import (
     ExperimentError,
@@ -120,7 +121,7 @@ class RunnerOptions:
     timeout_s: Optional[float] = None
     #: Isolated re-runs granted to transiently failing tasks.
     retries: int = 1
-    #: Base sleep between retry attempts, seconds (linear backoff).
+    #: Sleep before the first retry, seconds; doubles per further retry.
     backoff_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -289,15 +290,9 @@ def _start_trace_worker(days: float, seed: int):
     if cache.contains(config.artifact_key()):
         return None
     try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        mp_context = multiprocessing.get_context()
-    worker = mp_context.Process(target=_generate_trace_worker, args=(days, seed), daemon=True)
-    try:
-        worker.start()
+        return supervise.spawn(supervise.mp_context("fork"), _generate_trace_worker, (days, seed))
     except OSError:  # pragma: no cover - cannot spawn: overlap is best-effort
         return None
-    return worker
 
 
 def _render_key(experiment_id: str, days: float, seed: int) -> str:
@@ -341,14 +336,14 @@ def _execute_task(
 
 
 def _subprocess_task(
-    queue, experiment_id: str, task_id: str, days: float, seed: int
+    conn, experiment_id: str, task_id: str, days: float, seed: int
 ) -> None:
     """Isolated-subprocess entry: run one task and ship the outcome back."""
     try:
         value, seconds = _execute_task(experiment_id, task_id, days, seed)
-        queue.put(("ok", value, seconds))
+        conn.send(("ok", value, seconds))
     except Exception as exc:  # the error must cross the process boundary
-        queue.put(("error", type(exc).__name__, str(exc)))
+        conn.send(("error", type(exc).__name__, str(exc)))
 
 
 def _run_isolated(
@@ -358,36 +353,36 @@ def _run_isolated(
 
     Crash isolation and timeout enforcement in one place: a dying child
     becomes :class:`WorkerCrashError`, a child that outlives
-    ``timeout_s`` is terminated and becomes
+    ``timeout_s`` is killed and becomes
     :class:`ExperimentTimeoutError`, and an exception inside the child
     is re-raised here (library errors by their original type, so the
     caller's deterministic/transient classification still works).
+    Fork, not spawn: a monkeypatched registry must survive into the child.
     """
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        mp_context = multiprocessing.get_context()
-    queue = mp_context.Queue()
-    process = mp_context.Process(
-        target=_subprocess_task,
-        args=(queue, experiment_id, task_id, days, seed),
-        daemon=True,
+    mp_context = supervise.mp_context("fork")
+    reader, writer = mp_context.Pipe(duplex=False)
+    process = supervise.spawn(
+        mp_context, _subprocess_task, (writer, experiment_id, task_id, days, seed)
     )
-    process.start()
-    process.join(timeout_s)
-    if process.is_alive():
-        process.terminate()
-        process.join(5.0)
-        raise ExperimentTimeoutError(
-            f"task {task_id!r} exceeded the {timeout_s:g} s timeout"
-        )
+    writer.close()
     try:
-        outcome = queue.get(timeout=5.0)
-    except Exception:
+        # Wait for the outcome *or* the exit: joining first would deadlock
+        # on an outcome larger than the pipe buffer.
+        if not multiprocessing.connection.wait([reader, process.sentinel], timeout_s):
+            supervise.halt(process)
+            raise ExperimentTimeoutError(f"task {task_id!r} exceeded the {timeout_s:g} s timeout")
+        try:
+            outcome = reader.recv()
+        except EOFError:  # the child exited without sending
+            outcome = None
+    finally:
+        reader.close()
+    supervise.halt(process, 5.0)
+    if outcome is None:
         raise WorkerCrashError(
             f"worker for task {task_id!r} died "
             f"(exit code {process.exitcode}) before reporting a result"
-        ) from None
+        )
     if outcome[0] == "ok":
         return outcome[1], outcome[2]
     error_name, message = outcome[1], outcome[2]
@@ -412,7 +407,7 @@ def _is_deterministic(exc: BaseException) -> bool:
     return isinstance(exc, ReproError)
 
 
-def _failure(task: Task, error: BaseException, attempts: int) -> ExperimentFailure:
+def _failure(task: Task, error: BaseException, attempts: int = 1) -> ExperimentFailure:
     """An :class:`ExperimentFailure` record for one task's error."""
     return ExperimentFailure(
         experiment_id=task.experiment_id,
@@ -423,29 +418,32 @@ def _failure(task: Task, error: BaseException, attempts: int) -> ExperimentFailu
     )
 
 
-def _attempt_retries(
+def _retry_isolated(
     task: Task,
     days: float,
     seed: int,
     options: RunnerOptions,
-    first_error: BaseException,
+    error: BaseException,
     attempts_used: int,
-) -> Tuple[Optional[Tuple[object, float]], Optional[ExperimentFailure]]:
-    """Isolated re-runs after a transient failure; ``(outcome, failure)``."""
-    error: BaseException = first_error
+    values: Dict[str, object],
+    task_seconds: Dict[str, float],
+    failed: Dict[str, ExperimentFailure],
+) -> None:
+    """Isolated re-runs after a transient failure; files the outcome."""
     attempts = attempts_used
     while not _is_deterministic(error) and attempts - attempts_used < options.retries:
         if options.backoff_s:
-            time.sleep(options.backoff_s * (attempts - attempts_used + 1))
+            time.sleep(supervise.restart_delay_s(options.backoff_s, attempts - attempts_used + 1))
         attempts += 1
         try:
             outcome = _run_isolated(
                 task.experiment_id, task.task_id, days, seed, options.timeout_s
             )
-            return outcome, None
+            _record(task, outcome, values, task_seconds)
+            return
         except Exception as exc:  # noqa: BLE001 - every failure becomes a record
             error = exc
-    return None, _failure(task, error, attempts)
+    failed[task.task_id] = _failure(task, error, attempts)
 
 
 def _record(
@@ -485,13 +483,7 @@ def _run_wave_serial(
                 outcome = (value, time.perf_counter() - start_s)
             _record(task, outcome, values, task_seconds)
         except Exception as exc:  # noqa: BLE001 - recorded, never aborts the batch
-            outcome, failure = _attempt_retries(
-                task, days, seed, options, exc, attempts_used=1
-            )
-            if outcome is not None:
-                _record(task, outcome, values, task_seconds)
-            elif failure is not None:
-                failed[task.task_id] = failure
+            _retry_isolated(task, days, seed, options, exc, 1, values, task_seconds, failed)
 
 
 def _terminate_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
@@ -550,7 +542,7 @@ def _run_wave_parallel(
                         f"worker pool broke while running {task_id!r}"
                     )
                 except ReproError as exc:
-                    failed[task_id] = _failure(task, exc, attempts=1)
+                    failed[task_id] = _failure(task, exc)
                 except Exception as exc:  # noqa: BLE001 - downgraded to retry
                     retry_errors[task_id] = exc
         except concurrent.futures.TimeoutError:
@@ -565,16 +557,8 @@ def _run_wave_parallel(
                         f"{task_id!r} was still queued when the pool watchdog fired"
                     )
                 else:
-                    failed[task_id] = ExperimentFailure(
-                        experiment_id=task.experiment_id,
-                        error_type=ExperimentTimeoutError.__name__,
-                        message=(
-                            f"still running when the pool watchdog fired "
-                            f"after {watchdog:g} s"
-                        ),
-                        attempts=1,
-                        task_id=task_id,
-                    )
+                    message = f"still running when the pool watchdog fired after {watchdog:g} s"
+                    failed[task_id] = _failure(task, ExperimentTimeoutError(message))
             _terminate_pool(pool)
     finally:
         pool.shutdown(wait=not watchdog_tripped, cancel_futures=True)
@@ -589,14 +573,8 @@ def _run_wave_parallel(
                 task.experiment_id, task.task_id, days, seed, options.timeout_s
             )
             _record(task, outcome, values, task_seconds)
-        except Exception as exc:  # noqa: BLE001 - recorded below
-            outcome, failure = _attempt_retries(
-                task, days, seed, options, exc, attempts_used=2
-            )
-            if outcome is not None:
-                _record(task, outcome, values, task_seconds)
-            elif failure is not None:
-                failed[task.task_id] = failure
+        except Exception as exc:  # noqa: BLE001 - recorded by the retry
+            _retry_isolated(task, days, seed, options, exc, 2, values, task_seconds, failed)
 
 
 def run_experiments_detailed(
@@ -645,8 +623,7 @@ def run_experiments_detailed(
         pending = [i for i in ids if i not in rendered]
     except Exception:
         if trace_worker is not None:
-            trace_worker.terminate()
-            trace_worker.join(5.0)
+            supervise.halt(trace_worker)
         raise
 
     if trace_worker is not None:
@@ -709,13 +686,8 @@ def run_experiments_detailed(
                     (dep for dep in task.deps if dep in task_failures), None
                 )
                 if failed_dep is not None:
-                    task_failures[task.task_id] = ExperimentFailure(
-                        experiment_id=task.experiment_id,
-                        error_type=ExperimentError.__name__,
-                        message=f"dependency task {failed_dep!r} failed",
-                        attempts=1,
-                        task_id=task.task_id,
-                    )
+                    error = ExperimentError(f"dependency task {failed_dep!r} failed")
+                    task_failures[task.task_id] = _failure(task, error)
                 else:
                     runnable.append(task)
             if runnable:

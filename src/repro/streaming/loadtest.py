@@ -2,11 +2,11 @@
 
 Drives a running :mod:`repro.streaming.server` instance with concurrent
 JSON-lines connections at a fixed request rate, optionally injecting a
-worker kill mid-run (``{"control": "kill-worker"}``), and accounts for
-every single request: served, shed, errored or *lost*.  "Lost" means
-the server accepted a line and never answered it — the number the
-robustness contract says must be zero even while a worker is being
-SIGKILLed.
+worker kill just before request N (``{"control": "kill-worker"}``), and
+accounts for every single request: served, shed, errored or *lost*.
+"Lost" means the server accepted a line and never answered it — the
+number the robustness contract says must be zero even while a worker is
+being SIGKILLed.
 
 Used by ``repro loadtest`` (operator CLI) and
 ``benchmarks/bench_serve.py`` (the serving section of
@@ -44,9 +44,9 @@ class LoadTestConfig:
     n_connections: int = 4
     #: Horizon of each predict-ahead request, ticks.
     horizon_ticks: int = 8
-    #: Seconds into the run at which to send a kill-worker control
-    #: command (``None``: no fault injection).
-    kill_worker_after_s: Optional[float] = None
+    #: Send a kill-worker control command just before request number
+    #: N (0-based) goes out (``None``: no fault injection).
+    kill_worker_after_requests: Optional[int] = None
     #: How long to keep retrying the initial connect (server boot time).
     connect_timeout_s: float = 30.0
     #: How long to wait for outstanding responses after the last send.
@@ -59,6 +59,12 @@ class LoadTestConfig:
             raise ServingError("n_requests and n_connections must be positive")
         if self.horizon_ticks < 1:
             raise ServingError("horizon_ticks must be positive")
+        kill_at = self.kill_worker_after_requests
+        if kill_at is not None and not 0 <= kill_at < self.n_requests:
+            raise ServingError(
+                f"kill_worker_after_requests={kill_at} is outside [0, {self.n_requests}): "
+                "the kill would never be sent"
+            )
 
 
 @dataclass
@@ -183,20 +189,13 @@ async def _run_async(config: LoadTestConfig) -> LoadTestResult:
         for reader, _ in connections
     ]
     started = time.monotonic()
-    kill_task: Optional[asyncio.Task] = None
-    if config.kill_worker_after_s is not None:
-
-        async def _inject_kill() -> None:
-            await asyncio.sleep(config.kill_worker_after_s)
-            writer = connections[0][1]
-            writer.write(json.dumps({"control": "kill-worker"}).encode() + b"\n")
-            await writer.drain()
-
-        kill_task = asyncio.ensure_future(_inject_kill())
     interval_s = 1.0 / config.rate_rps if config.rate_rps > 0 else 0.0
     for i in range(config.n_requests):
         rid = f"lt-{i}"
         writer = connections[i % config.n_connections][1]
+        if i == config.kill_worker_after_requests:
+            # On request i's own connection, so the server sees it first.
+            writer.write(json.dumps({"control": "kill-worker"}).encode() + b"\n")
         send_times[rid] = time.monotonic()
         writer.write(
             json.dumps({"id": rid, "horizon_ticks": config.horizon_ticks}).encode()
@@ -218,9 +217,6 @@ async def _run_async(config: LoadTestConfig) -> LoadTestResult:
             break
         await asyncio.sleep(0.02)
     result.elapsed_s = time.monotonic() - started
-    if kill_task is not None:
-        kill_task.cancel()
-        await asyncio.gather(kill_task, return_exceptions=True)
     if config.shutdown_after:
         writer = connections[0][1]
         try:

@@ -27,17 +27,18 @@ Inside one shard (:func:`shard_main`):
   ``snapshot_every_ticks`` (log flushed *before* every seal, so the log
   is never behind the snapshot).
 
-The supervising parent (:func:`run_ingest`) reuses the serving pool's
-robustness idioms (:mod:`repro.streaming.supervisor`): monotonic
-heartbeats with a liveness deadline, crash/hang respawn with exponential
-backoff and a bounded restart budget, and a graceful SIGINT/SIGTERM
-drain that has every shard finish its buffered ticks and reseal every
-partition snapshot before exiting.  A respawned shard resumes from its
-partitions' snapshots: the pipeline's own ``summary.n_ticks`` *is* the
-resume index (exactly one record line per processed tick), so the shard
-truncates each log to that many lines, replays the deterministic
-producers from the seed, and skips ticks already processed —
-exactly-once records without any write-ahead machinery.
+The supervising parent (:func:`run_ingest`) shares its lifecycle policy
+with the serving pool (:mod:`repro.core.supervise`): a liveness deadline
+on per-tick beats, crash/hang respawn with exponential backoff and a
+bounded restart budget, chaos triggered by tick count, and a graceful
+SIGINT/SIGTERM drain that has every shard finish its buffered ticks and
+reseal every partition snapshot before exiting.  A respawned shard
+resumes from its partitions' snapshots: the pipeline's own
+``summary.n_ticks`` *is* the resume index (exactly one record line per
+processed tick), so the shard truncates each log to that many lines,
+replays the deterministic producers from the seed, and skips ticks
+already processed — exactly-once records without any write-ahead
+machinery.
 
 Determinism contract: a completed sharded run's per-building record
 logs are byte-identical to :func:`run_serial`'s (no bus, no shards, no
@@ -48,7 +49,6 @@ schedule and any graceful-stop/resume split — checked by
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_mod
 import signal
 import time
@@ -57,6 +57,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import rng as rng_mod
+from repro.core import supervise
+from repro.core.supervise import DEAD, FAILED, STOPPED, Slot
 from repro.errors import ReproError, StreamingError
 from repro.streaming.bus import EventBus, interleave
 from repro.streaming.ingest import StreamTick
@@ -76,13 +78,6 @@ __all__ = [
     "run_serial",
     "verify_parity",
 ]
-
-#: Shard lifecycle states (parent-side bookkeeping).
-STARTING = "starting"
-LIVE = "live"
-RESTARTING = "restarting"
-DONE = "done"
-
 
 # ---------------------------------------------------------------------------
 # Worker side
@@ -220,8 +215,13 @@ def shard_main(
     heartbeat: Any,
     result_queue: Any,
     stop_event: Any,
+    die_at_beat: Optional[int] = None,
 ) -> None:
     """One shard process: produce, buffer, consume, snapshot, report.
+
+    ``heartbeat`` (any object with a numeric ``.value``) beats once per
+    replayed or processed tick; with ``die_at_beat`` set, the shard
+    SIGKILLs itself at that beat (the ingest chaos hook).
 
     Protocol (over ``result_queue``):
 
@@ -255,24 +255,23 @@ def shard_main(
         namespace = plan.namespace()
         runs: Dict[str, _PartitionRun] = {}
         for spec in specs:
-            heartbeat.value = time.monotonic()
             runs[spec.topic] = _PartitionRun(spec, namespace, Path(out_dir), resume)
     except ReproError as exc:
         result_queue.put(("fatal", shard_id, str(exc)))
         return
     result_queue.put(("ready", shard_id, len(runs)))
-    heartbeat.value = time.monotonic()
 
+    beat = supervise.Beat(heartbeat, die_at_beat)
     bus = EventBus(plan.bus)
     stopped = False
     try:
         for topic, tick in _shard_ticks(plan, shard_id, specs, runs):
-            heartbeat.value = time.monotonic()
             if stop_event.is_set():
                 stopped = True
                 break
             run = runs[topic]
             if tick.index < run.skip:
+                beat()
                 continue  # replayed prefix of a resumed partition
             partition = bus.partition(topic)
             while not partition.offer(tick):
@@ -280,6 +279,7 @@ def shard_main(
                 # so draining one tick always makes room — the inline
                 # producer/consumer pair cannot deadlock.
                 run.process(partition.poll(), plan.snapshot_every_ticks)
+                beat()
         # Drain whatever the bus still buffers (all of it on a graceful
         # stop), then reseal every partition.
         for topic, run in runs.items():
@@ -289,7 +289,7 @@ def shard_main(
                 if queued is None:
                     break
                 run.process(queued, plan.snapshot_every_ticks)
-                heartbeat.value = time.monotonic()
+                beat()
         for run in runs.values():
             run.close()
     except ReproError as exc:
@@ -320,18 +320,19 @@ class ShardRunnerOptions:
     #: Resume partitions from pre-existing snapshots (a respawn always
     #: resumes regardless of this flag — it only governs the first boot).
     resume: bool = False
-    #: Chaos hook: SIGKILL one live shard this long after start.
-    kill_shard_after_s: Optional[float] = None
-    #: Heartbeat older than this marks a shard hung (killed + respawned).
+    #: Chaos hook: the first incarnation of the lowest shard id that owns
+    #: a partition SIGKILLs itself after exactly this many processed ticks.
+    kill_shard_after_ticks: Optional[int] = None
+    #: No beat for this long marks a shard hung (killed + respawned).
     liveness_deadline_s: float = 30.0
     #: Respawn attempts per shard before the run is declared failed.
     max_restarts: int = 3
     #: First respawn delay; doubles per consecutive restart.
     restart_backoff_s: float = 0.5
-    #: ``multiprocessing`` start method (spawn is fork-safe everywhere).
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
+        if self.kill_shard_after_ticks is not None and self.kill_shard_after_ticks < 1:
+            raise StreamingError("kill_shard_after_ticks must be >= 1")
         if self.liveness_deadline_s <= 0:
             raise StreamingError("liveness_deadline_s must be positive")
         if self.max_restarts < 0:
@@ -383,27 +384,6 @@ class IngestReport:
         }
 
 
-class _ShardSlot:
-    """Parent-side bookkeeping for one shard slot."""
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.state = STARTING
-        self.process: Optional[Any] = None
-        self.heartbeat: Optional[Any] = None
-        self.restarts = 0
-        self.respawn_at: Optional[float] = None
-        self.dead_since: Optional[float] = None
-        self.stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def done(self) -> bool:
-        return self.state == DONE
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
 def run_ingest(
     plan: IngestPlan,
     out_dir: Union[str, Path],
@@ -429,131 +409,71 @@ def run_ingest(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     topics = tuple(spec.topic for spec in plan.partitions())
+    chaos_target = min((sid for sid, specs in plan.assignment().items() if specs), default=None)
 
-    ctx = multiprocessing.get_context(options.start_method)
+    ctx = supervise.mp_context("spawn")
     result_queue = ctx.Queue()
     stop_event = ctx.Event()
-    slots = {shard_id: _ShardSlot(shard_id) for shard_id in range(plan.n_shards)}
 
-    def spawn(slot: _ShardSlot, resume: bool) -> None:
-        slot.heartbeat = ctx.Value("d", time.monotonic())
-        slot.dead_since = None
-        slot.respawn_at = None
-        slot.state = STARTING
-        slot.process = ctx.Process(
-            target=shard_main,
-            args=(
-                slot.shard_id,
-                plan,
-                str(out),
-                resume,
-                slot.heartbeat,
-                result_queue,
-                stop_event,
-            ),
-            name=f"repro-ingest-shard-{slot.shard_id}",
-            daemon=True,
-        )
-        slot.process.start()
+    def boot(slot: Slot) -> tuple:
+        first = slot.restarts == 0
+        die_at = options.kill_shard_after_ticks if first and slot.slot_id == chaos_target else None
+        kwargs = {"result_queue": result_queue, "stop_event": stop_event, "die_at_beat": die_at}
+        return shard_main, (slot.slot_id, plan, str(out), options.resume or not first), kwargs
 
-    def kill_all() -> None:
-        for slot in slots.values():
-            if slot.alive():
-                slot.process.kill()
-                slot.process.join(timeout=2.0)
-
+    slots = [
+        Slot(ctx, shard_id, f"repro-ingest-shard-{shard_id}", boot, options)
+        for shard_id in range(plan.n_shards)
+    ]
+    shards_stats: Dict[int, Dict[str, Any]] = {}
     started = time.monotonic()
     killed_shard: Optional[int] = None
     restarts_total = 0
-    stop_signalled = False
+    failure: Optional[str] = None
 
     with GracefulShutdown() as stop:
-        for slot in slots.values():
-            spawn(slot, options.resume)
-        while not all(slot.done for slot in slots.values()):
-            if stop.triggered and not stop_signalled:
+        for slot in slots:
+            slot.spawn()
+        while failure is None and not all(slot.state == STOPPED for slot in slots):
+            if stop.triggered and not stop_event.is_set():
                 stop_event.set()
-                stop_signalled = True
-            now = time.monotonic()
-            if (
-                options.kill_shard_after_s is not None
-                and killed_shard is None
-                and now - started >= options.kill_shard_after_s
-            ):
-                target = next(
-                    (s for s in slots.values() if not s.done and s.alive()), None
-                )
-                if target is not None:
-                    target.process.kill()
-                    killed_shard = target.shard_id
             # Drain every pending worker message before judging liveness,
             # so a shard that finished a moment ago is not read as a crash.
             while True:
                 try:
-                    message = result_queue.get(timeout=0.05)
+                    kind, shard_id, body = result_queue.get(timeout=0.05)
                 except queue_mod.Empty:
                     break
-                kind, shard_id = message[0], message[1]
-                slot = slots[shard_id]
                 if kind == "ready":
-                    if slot.state == STARTING:
-                        slot.state = LIVE
+                    slots[shard_id].mark_ready()
                 elif kind == "done":
-                    slot.state = DONE
-                    slot.stats = message[2]
+                    slots[shard_id].state = STOPPED
+                    shards_stats[shard_id] = body
                 elif kind == "fatal":
-                    kill_all()
-                    raise StreamingError(
-                        f"ingest shard {shard_id} failed: {message[2]}"
-                    )
+                    failure = f"ingest shard {shard_id} failed: {body}"
             now = time.monotonic()
-            for slot in slots.values():
-                if slot.done:
-                    continue
-                if slot.respawn_at is not None:
-                    if now >= slot.respawn_at:
-                        restarts_total += 1
-                        spawn(slot, resume=True)
-                    continue
-                hung = (
-                    slot.state == LIVE
-                    and slot.heartbeat is not None
-                    and now - slot.heartbeat.value > options.liveness_deadline_s
-                )
-                if slot.alive() and not hung:
-                    slot.dead_since = None
-                    continue
-                if hung and slot.alive():
-                    slot.process.kill()
-                elif not hung:
-                    # A dead process may still have its "done" in flight
-                    # through the queue's feeder pipe: grant a short
-                    # grace before treating the exit as a crash.
-                    if slot.dead_since is None:
-                        slot.dead_since = now
-                        continue
-                    if now - slot.dead_since < 1.0:
-                        continue
-                if slot.restarts >= options.max_restarts:
-                    kill_all()
-                    raise StreamingError(
-                        f"ingest shard {slot.shard_id} exceeded its restart "
+            for slot in slots:
+                # The grace covers a "done" still in flight through the
+                # queue's feeder pipe when the process has already exited.
+                event = slot.poll(now, grace_s=1.0)
+                if event == "respawned":
+                    restarts_total += 1
+                elif slot.state == FAILED:
+                    failure = (
+                        f"ingest shard {slot.slot_id} exceeded its restart "
                         f"budget ({options.max_restarts})"
                     )
-                slot.restarts += 1
-                slot.state = RESTARTING
-                slot.dead_since = None
-                slot.respawn_at = now + options.restart_backoff_s * (
-                    2 ** (slot.restarts - 1)
-                )
+                elif event == DEAD and slot.slot_id == chaos_target and slot.restarts == 1:
+                    # The first incarnation died; a SIGKILL there is the armed chaos.
+                    if options.kill_shard_after_ticks and slot.process.exitcode == -signal.SIGKILL:
+                        killed_shard = slot.slot_id
+        interrupted = stop_event.is_set()
+        elapsed = time.monotonic() - started
+        for slot in slots:
+            supervise.halt(slot.process, grace_s=0.0 if failure else 5.0)
+        if failure is not None:
+            raise StreamingError(failure)
 
-    elapsed = time.monotonic() - started
-    for slot in slots.values():
-        if slot.process is not None:
-            slot.process.join(timeout=5.0)
-    shards_stats = {
-        slot.shard_id: slot.stats for slot in slots.values() if slot.stats is not None
-    }
     completed = all(stats.get("completed") for stats in shards_stats.values())
     ticks = sum(
         partition["n_ticks"]
@@ -566,8 +486,8 @@ def run_ingest(
         ticks=ticks,
         elapsed_s=elapsed,
         completed=completed,
-        drain_clean=not stop_signalled or all(s.done for s in slots.values()),
-        interrupted=stop_signalled,
+        drain_clean=not interrupted or all(s.state == STOPPED for s in slots),
+        interrupted=interrupted,
         restarts=restarts_total,
         killed_shard=killed_shard,
         shards=shards_stats,

@@ -11,9 +11,12 @@ per-worker queues.  Everything that can go wrong is handled explicitly:
   the same sealed snapshot, with exponential backoff and a bounded
   restart budget; a worker that exhausts the budget is *downgraded*
   (permanently removed) and the survivors keep serving.
-* **Hang detection** — workers write a monotonic heartbeat every loop
-  iteration; a heartbeat older than the liveness deadline gets the
-  worker killed and respawned like a crash.
+* **Hang detection** — workers beat once per loop iteration; a worker
+  with no beat for the liveness deadline is killed and respawned like
+  a crash.
+
+Spawning, beats, the crash/hang verdict and the restart schedule are the
+shared :mod:`repro.core.supervise` policy; routing, parking and drain live here.
 * **No lost accepted requests** — requests in flight on a dead worker
   are re-dispatched to the survivors; duplicates from races (a timeout
   retry overtaking a slow first answer) are resolved first-answer-wins.
@@ -33,14 +36,15 @@ cannot tell which worker answered.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core import supervise
+from repro.core.supervise import FAILED, HUNG, LIVE, RESTARTING, STARTING, STOPPED, Slot
 from repro.errors import ReproError, ServiceOverloadError, ServingError, SnapshotError
 
 __all__ = [
@@ -49,14 +53,6 @@ __all__ = [
     "Supervisor",
     "worker_main",
 ]
-
-#: Worker lifecycle states (kept as strings: they travel through JSON).
-STARTING = "starting"
-LIVE = "live"
-RESTARTING = "restarting"
-FAILED = "failed"
-STOPPED = "stopped"
-
 
 @dataclass(frozen=True)
 class WorkerPoolConfig:
@@ -72,9 +68,9 @@ class WorkerPoolConfig:
     max_batch: int = 8
     #: Longest accepted prediction horizon, ticks.
     max_horizon_ticks: int = 672
-    #: Worker loop poll period — also the heartbeat refresh cadence.
+    #: Worker loop poll period — also the worker's beat cadence.
     poll_interval_s: float = 0.05
-    #: Heartbeat older than this marks the worker hung.
+    #: No beat for this long marks the worker hung.
     liveness_deadline_s: float = 3.0
     #: Per-request deadline before the retry/miss machinery engages.
     request_timeout_s: float = 5.0
@@ -84,9 +80,6 @@ class WorkerPoolConfig:
     restart_backoff_s: float = 0.1
     #: How long :meth:`Supervisor.start` waits for the pool to come up.
     start_timeout_s: float = 60.0
-    #: ``multiprocessing`` start method (``spawn`` is fork-safe with the
-    #: supervisor's own threads; ``fork`` is faster to boot).
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -119,15 +112,7 @@ class PoolStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict form for reports and the stats control command."""
-        return {
-            "served": self.served,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "retried": self.retried,
-            "restarts": self.restarts,
-            "deadline_misses": self.deadline_misses,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 def worker_main(
@@ -171,12 +156,12 @@ def worker_main(
         ),
     )
     held_inputs = pipeline.estimator.last_inputs()
-    heartbeat.value = time.monotonic()
+    beat = supervise.Beat(heartbeat)
     response_queue.put(("ready", worker_id))
 
     stopping = False
     while not stopping:
-        heartbeat.value = time.monotonic()
+        beat()
         try:
             message = request_queue.get(timeout=config.poll_interval_s)
         except queue_mod.Empty:
@@ -194,7 +179,7 @@ def worker_main(
             if kind == "stop":
                 stopping = True
             elif kind == "hang":
-                time.sleep(float(item[1]))  # chaos: stall the heartbeat
+                time.sleep(float(item[1]))  # chaos: stop beating
             elif kind == "req":
                 requests.append(item)
         seqs: List[int] = []
@@ -237,17 +222,13 @@ class _Inflight:
     retried_on_timeout: bool = False
 
 
-class _WorkerSlot:
-    """Supervisor-side bookkeeping for one worker slot."""
+class _WorkerSlot(Slot):
+    """A pool slot plus the serving protocol's per-worker bookkeeping."""
 
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.state = STARTING
-        self.process: Optional[Any] = None
+    def __init__(self, pool: "Supervisor", worker_id: int) -> None:
+        name = f"repro-serve-worker-{worker_id}"
+        super().__init__(pool._ctx, worker_id, name, pool._boot_worker, pool.config)
         self.request_queue: Optional[Any] = None
-        self.heartbeat: Optional[Any] = None
-        self.restarts = 0
-        self.respawn_at = 0.0
         #: Sheds this worker contributed to (its queue was full when a
         #: submit had to be refused) — the per-worker saturation signal
         #: the autoscaling follow-on watches.
@@ -256,13 +237,6 @@ class _WorkerSlot:
         self.inflight: set = set()
         #: Final ServiceStats reported by a cleanly stopped worker.
         self.final_stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def accepting(self) -> bool:
-        return self.state in (STARTING, LIVE)
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
 
 
 class Supervisor:
@@ -278,7 +252,8 @@ class Supervisor:
         """Create an un-started pool; :meth:`start` boots the workers."""
         self.config = config or WorkerPoolConfig()
         self.stats = PoolStats()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        # Spawn, not fork: the supervisor runs threads of its own.
+        self._ctx = supervise.mp_context("spawn")
         self._response_queue: Optional[Any] = None
         self._slots: List[_WorkerSlot] = []
         self._inflight: Dict[int, _Inflight] = {}
@@ -305,9 +280,9 @@ class Supervisor:
         # writes back as the final snapshot on graceful drain.
         self.pipeline = load_snapshot(self.config.snapshot_name, required=True)
         self._response_queue = self._ctx.Queue()
-        self._slots = [_WorkerSlot(i) for i in range(self.config.n_workers)]
+        self._slots = [_WorkerSlot(self, i) for i in range(self.config.n_workers)]
         for slot in self._slots:
-            self._spawn(slot)
+            slot.spawn()
         self._accepting = True
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-serve-collector", daemon=True
@@ -331,25 +306,11 @@ class Supervisor:
             f"worker pool did not come up within {self.config.start_timeout_s:g}s"
         )
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
-        """Boot (or re-boot) one worker slot."""
+    def _boot_worker(self, slot: _WorkerSlot) -> tuple:
+        """What one worker runs, on a fresh request queue."""
         slot.request_queue = self._ctx.Queue()
-        slot.heartbeat = self._ctx.Value("d", time.monotonic())
-        slot.state = STARTING
-        slot.process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                slot.worker_id,
-                self.config.snapshot_name,
-                slot.request_queue,
-                self._response_queue,
-                slot.heartbeat,
-                self.config,
-            ),
-            name=f"repro-serve-worker-{slot.worker_id}",
-            daemon=True,
-        )
-        slot.process.start()
+        args = (slot.slot_id, self.config.snapshot_name, slot.request_queue, self._response_queue)
+        return worker_main, args, {"config": self.config}
 
     # -- submission --------------------------------------------------------
 
@@ -362,7 +323,7 @@ class Supervisor:
     def worker_states(self) -> Dict[int, str]:
         """Worker id → lifecycle state (for the stats command)."""
         with self._lock:
-            return {slot.worker_id: slot.state for slot in self._slots}
+            return {slot.slot_id: slot.state for slot in self._slots}
 
     def submit(self, payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
         """Accept one request payload; resolves to a response payload.
@@ -414,7 +375,7 @@ class Supervisor:
             slot
             for slot in self._slots
             if slot.state == LIVE
-            and slot.worker_id != exclude
+            and slot.slot_id != exclude
             and len(slot.inflight) < self.config.max_queue
         ]
         if not candidates:
@@ -427,7 +388,7 @@ class Supervisor:
 
     def _dispatch(self, entry: _Inflight, slot: _WorkerSlot) -> None:
         """Hand one inflight entry to a slot (lock held)."""
-        entry.worker_id = slot.worker_id
+        entry.worker_id = slot.slot_id
         entry.attempts += 1
         entry.deadline = time.monotonic() + self.config.request_timeout_s
         self._inflight[entry.seq] = entry
@@ -436,29 +397,30 @@ class Supervisor:
 
     # -- chaos hooks -------------------------------------------------------
 
+    def _chaos_target_locked(self, worker_id: Optional[int]) -> Optional[_WorkerSlot]:
+        """Worker ``worker_id`` if it is live, else the next live one."""
+        live = [slot for slot in self._slots if slot.state == LIVE and slot.process.is_alive()]
+        if worker_id is not None:
+            live = [slot for slot in live if slot.slot_id == worker_id] or live
+        return live[next(self._route) % len(live)] if live else None
+
     def kill_worker(self, worker_id: Optional[int] = None) -> Optional[int]:
         """SIGKILL one live worker (fault injection); returns its id."""
         with self._lock:
-            live = [slot for slot in self._slots if slot.state == LIVE and slot.alive()]
-            if not live:
-                return None
-            if worker_id is not None:
-                live = [slot for slot in live if slot.worker_id == worker_id] or live
-            target = live[next(self._route) % len(live)]
+            target = self._chaos_target_locked(worker_id)
+        if target is None:
+            return None
         target.process.kill()
-        return target.worker_id
+        return target.slot_id
 
     def hang_worker(self, seconds_s: float, worker_id: Optional[int] = None) -> Optional[int]:
-        """Make one live worker sleep (fault injection); returns its id."""
+        """Make one live worker stop beating (fault injection); returns its id."""
         with self._lock:
-            live = [slot for slot in self._slots if slot.state == LIVE]
-            if not live:
+            target = self._chaos_target_locked(worker_id)
+            if target is None:
                 return None
-            if worker_id is not None:
-                live = [slot for slot in live if slot.worker_id == worker_id] or live
-            target = live[next(self._route) % len(live)]
             target.request_queue.put(("hang", float(seconds_s)))
-        return target.worker_id
+        return target.slot_id
 
     # -- background threads ------------------------------------------------
 
@@ -482,9 +444,7 @@ class Supervisor:
         kind = message[0]
         if kind == "ready":
             with self._lock:
-                slot = self._slots[message[1]]
-                if slot.state == STARTING:
-                    slot.state = LIVE
+                self._slots[message[1]].mark_ready()
                 self._unpark_locked()
             return
         if kind == "fatal":
@@ -520,48 +480,27 @@ class Supervisor:
             now = time.monotonic()
             with self._lock:
                 for slot in self._slots:
-                    self._check_worker_locked(slot, now)
+                    event = slot.poll(now)
+                    if event == "respawned":
+                        self.stats.restarts += 1
+                    elif event is not None:
+                        self._on_worker_death_locked(
+                            slot, reason="hang" if event == HUNG else "crash"
+                        )
                 self._check_deadlines_locked(now)
                 self._unpark_locked()
 
-    def _check_worker_locked(self, slot: _WorkerSlot, now: float) -> None:
-        if slot.state in (FAILED, STOPPED):
-            return
-        if slot.state == RESTARTING:
-            if now >= slot.respawn_at:
-                self.stats.restarts += 1
-                self._spawn(slot)
-            return
-        hung = (
-            slot.state == LIVE
-            and slot.heartbeat is not None
-            and now - slot.heartbeat.value > self.config.liveness_deadline_s
-        )
-        if slot.alive() and not hung:
-            return
-        if hung and slot.alive():
-            slot.process.kill()
-        self._on_worker_death_locked(slot, now, reason="hang" if hung else "crash")
-
-    def _on_worker_death_locked(self, slot: _WorkerSlot, now: float, reason: str) -> None:
-        """Re-dispatch the dead worker's requests; schedule the respawn."""
+    def _on_worker_death_locked(self, slot: _WorkerSlot, reason: str) -> None:
+        """Re-dispatch a lost worker's requests; its slot is already rescheduled."""
         orphans = [
             self._inflight[seq] for seq in sorted(slot.inflight) if seq in self._inflight
         ]
         slot.inflight.clear()
         if slot.request_queue is not None:
             slot.request_queue.cancel_join_thread()
-        if slot.restarts >= self.config.max_restarts:
-            slot.state = FAILED  # permanent downgrade; survivors carry on
-        else:
-            slot.restarts += 1
-            slot.state = RESTARTING
-            slot.respawn_at = now + self.config.restart_backoff_s * (
-                2 ** (slot.restarts - 1)
-            )
         for entry in orphans:
             del self._inflight[entry.seq]
-            self._redispatch_locked(entry, exclude=slot.worker_id, cause=reason)
+            self._redispatch_locked(entry, exclude=slot.slot_id, cause=reason)
 
     def _check_deadlines_locked(self, now: float) -> None:
         for seq in list(self._inflight):
@@ -648,17 +587,12 @@ class Supervisor:
         with self._lock:
             slots = list(self._slots)
             for slot in slots:
-                if slot.accepting and slot.request_queue is not None:
+                if slot.state in (STARTING, LIVE) and slot.request_queue is not None:
                     slot.request_queue.put(("stop",))
         deadline = time.monotonic() + timeout_s
         for slot in slots:
-            if slot.process is None:
-                continue
-            remaining = max(0.05, deadline - time.monotonic())
-            slot.process.join(timeout=remaining)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
+            if slot.process is not None:
+                supervise.halt(slot.process, max(0.05, deadline - time.monotonic()))
         self._stop_event.set()
         for thread in (self._collector, self._monitor):
             if thread is not None and thread.is_alive():
@@ -670,7 +604,7 @@ class Supervisor:
         """Per-worker ServiceStats reported at clean worker exit."""
         with self._lock:
             return {
-                slot.worker_id: dict(slot.final_stats)
+                slot.slot_id: dict(slot.final_stats)
                 for slot in self._slots
                 if slot.final_stats is not None
             }
@@ -685,7 +619,7 @@ class Supervisor:
         """
         with self._lock:
             return {
-                slot.worker_id: {
+                slot.slot_id: {
                     "state": slot.state,
                     "queue_depth": len(slot.inflight),
                     "restarts": slot.restarts,

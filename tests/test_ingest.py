@@ -347,11 +347,12 @@ class TestShardedParity:
             n_buildings=2, days=1.0, n_shards=2, snapshot_every_ticks=12
         )
         options = ShardRunnerOptions(
-            kill_shard_after_s=2.0, restart_backoff_s=0.1
+            kill_shard_after_ticks=40, restart_backoff_s=0.1
         )
         report = run_ingest(plan, tmp_path / "sharded", options)
         assert report.killed_shard is not None
         assert report.restarts >= 1
+        assert report.restarts == 1
         assert report.completed
         run_serial(plan, tmp_path / "serial")
         assert (
@@ -373,3 +374,5 @@ class TestShardRunnerOptions:
             ShardRunnerOptions(max_restarts=-1)
         with pytest.raises(StreamingError):
             ShardRunnerOptions(restart_backoff_s=0.0)
+        with pytest.raises(StreamingError):
+            ShardRunnerOptions(kill_shard_after_ticks=0)

@@ -263,6 +263,17 @@ class TestFailureIsolation:
         assert failure.error_type == "ExperimentTimeoutError"
         assert elapsed < 30.0
 
+    def test_large_isolated_result_is_not_a_timeout(self, monkeypatch):
+        # Larger than any pipe buffer: the parent must read the outcome
+        # before it joins the child, or both wait on each other.
+        text = "== fig3: large ==\n" + "x" * 1_000_000
+        monkeypatch.setattr(EXPERIMENTS["fig3"], "run", lambda context=None: _FakeResult(text))
+        report = run_experiments_detailed(
+            ["fig3"], days=7.0, options=RunnerOptions(timeout_s=30.0, retries=0)
+        )
+        assert report.ok
+        assert report.results == [("fig3", text)]
+
     def test_legacy_wrapper_raises_after_running_everything(self, monkeypatch):
         executed = []
         original = EXPERIMENTS["fig3"].run

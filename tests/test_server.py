@@ -309,7 +309,7 @@ class TestPredictionServer:
                 rate_rps=200.0,
                 n_connections=3,
                 horizon_ticks=6,
-                kill_worker_after_s=0.05,
+                kill_worker_after_requests=5,
                 shutdown_after=True,
             )
         )
@@ -328,7 +328,13 @@ class TestPredictionServer:
 
 class TestLoadTestConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"n_requests": 0}, {"n_connections": 0}, {"horizon_ticks": 0}]
+        "kwargs",
+        [
+            {"n_requests": 0},
+            {"n_connections": 0},
+            {"horizon_ticks": 0},
+            {"n_requests": 10, "kill_worker_after_requests": 10},
+        ],
     )
     def test_invalid_config_raises_typed_error(self, kwargs):
         with pytest.raises(ServingError):
