@@ -5,9 +5,9 @@ Times the closed-loop auditorium simulation under three drivers:
 
 * ``loop``    — the monolithic reference loop (``run_loop``), kept as
   the readable specification of the step semantics,
-* ``kernel``  — the staged step-kernel pipeline (``run``), one trace in
-  one monolithic chunk,
-* ``chunked`` — the same kernels driven through ``iter_chunks`` in
+* ``kernel``  — the batched step-kernel engine at a batch of one
+  building (``run``), one trace in one monolithic chunk,
+* ``chunked`` — the same engine driven through ``iter_chunks`` in
   1-day slabs, the shape the streaming/caching layers consume.
 
 All three must produce *bit-identical* traces (asserted with
@@ -15,9 +15,10 @@ All three must produce *bit-identical* traces (asserted with
 never come from changing the physics.
 
 The ``fleet`` section then batches a generated building fleet through
-:class:`repro.simulation.fleet.FleetSimulator` and compares one
-vectorized pass against running every building's solo simulator
-sequentially — again gated on per-building bit-identity first.
+:class:`repro.simulation.fleet.FleetSimulator` (the same engine, one
+batch per cohort) and compares one vectorized pass against running
+every building's solo simulator (a batch of one) sequentially — again
+gated on per-building bit-identity first.
 
 Environment knobs:
 

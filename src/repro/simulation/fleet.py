@@ -1,30 +1,23 @@
 """Fleet batching: many buildings integrated in one vectorized pass.
 
-The paper identifies one auditorium; the roadmap's north star is a
-production-scale system serving hundreds of rooms.  This module adds
-the missing axis:
+The paper identifies one auditorium; this module adds the building
+axis:
 
 * a :class:`BuildingSpec` — one building's geometry, HVAC plant, RC
   parameters and seed, with :func:`build_fleet` drawing per-building
   variation from a seeded spec distribution (:class:`FleetConfig`),
-* a :class:`FleetPlan` — per-building :class:`~repro.simulation.kernels.
-  KernelPlan` precomputes stacked into ``(B, ...)`` arrays, and
-* batched variants of the six step kernels operating on a leading
-  building dimension.
+* a :class:`FleetSimulator` — buildings grouped into *cohorts* of
+  identical array shape, ``(n_zones, n_vavs, substeps, diffuser
+  wiring)``, each cohort stacked into one
+  :class:`~repro.simulation.kernels.BatchPlan` and integrated in one
+  pass of the batched kernel engine (:mod:`repro.simulation.kernels`).
 
-**Parity guarantee.**  Running building *i* through the batched pass is
-``np.array_equal`` to running its spec alone through
-:meth:`AuditoriumSimulator.run`.  Every per-step operation mirrors the
-solo kernel exactly: per-building scalars become ``(B, 1)`` columns
-(elementwise float64 ufuncs apply the same IEEE operation per lane),
-matrix-vector taps become stacked ``np.matmul`` contractions (bitwise
-equal to the per-building ``@``), gathered reductions keep the same
-pairwise order, and branch selection (``occupied``, zero-flow) is done
-with pure ``np.where`` lane selection so no discarded lane can perturb
-a kept one.  Buildings are grouped into *cohorts* of identical array
-shape — ``(n_zones, n_vavs, substeps, diffuser wiring)`` — and each
-cohort integrates in one pass; RC parameters, calendars, noise and
-setpoints are free to differ within a cohort.
+RC parameters, calendars, noise, setpoints and supervisory controllers
+are free to differ within a cohort.  A solo
+:meth:`AuditoriumSimulator.run` is the same engine at a batch of one,
+so running building *i* in its cohort is ``np.array_equal`` to running
+its spec alone, and both match the reference loop
+(:meth:`AuditoriumSimulator.run_loop`).
 """
 
 from __future__ import annotations
@@ -32,13 +25,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import rng as rng_mod
-from repro.contracts import ensure_finite, ensure_unit_range
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.geometry.auditorium import (
     Auditorium,
     Diffuser,
@@ -47,19 +37,16 @@ from repro.geometry.auditorium import (
     default_auditorium,
 )
 from repro.geometry.layout import THERMOSTAT_IDS
-from repro.simulation.humidity import (
-    ATMOSPHERIC_PRESSURE,
-    EPSILON,
-    MoistureConfig,
-    humidity_ratio_from_rh,
-)
 from repro.simulation.hvac import HVACConfig, HVACSchedule
-from repro.simulation.kernels import KernelPlan, SimulationChunk
-from repro.simulation.rc_network import AIR_CP, AIR_DENSITY, RCNetworkConfig
+from repro.simulation.kernels import (
+    BatchChunk,
+    KernelPlan,
+    SimulationChunk,
+    integrate,
+    stack_plans,
+)
+from repro.simulation.rc_network import RCNetworkConfig
 from repro.simulation.simulator import (
-    CO2_PER_PERSON,
-    FRESH_AIR_FRACTION,
-    OUTDOOR_CO2_PPM,
     AuditoriumSimulator,
     SimulationConfig,
     SimulationResult,
@@ -69,19 +56,9 @@ from repro.simulation.vav import VAVConfig
 __all__ = [
     "BuildingSpec",
     "FleetConfig",
-    "FleetPlan",
-    "FleetState",
-    "FleetChunk",
     "FleetResult",
     "FleetSimulator",
-    "FleetThermostatTap",
-    "FleetPlantStep",
-    "FleetDiffuserMix",
-    "FleetThermalIntegrate",
-    "FleetCO2Balance",
-    "FleetMoistureStep",
     "build_fleet",
-    "build_fleet_kernels",
     "seed_fleet",
 ]
 
@@ -366,412 +343,6 @@ def seed_fleet(
 
 
 # ---------------------------------------------------------------------------
-# Stacked plan / state / chunk
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FleetPlan:
-    """Per-building :class:`KernelPlan` precomputes stacked to ``(B, ...)``.
-
-    Per-building scalars are carried as ``(B, 1)`` columns so broadcast
-    against ``(B, n_vavs)``/``(B, n_zones)`` state applies the same
-    IEEE operation per lane as the solo scalar did.  Arrays that the
-    cohort key pins to be identical across members (gather indices,
-    sub-step schedule) stay unstacked.
-    """
-
-    n_buildings: int
-    n_steps: int
-    dt: float
-    n_zones: int
-    n_vavs: int
-    occupied: np.ndarray  # (B, N) bool
-    ambient: np.ndarray  # (B, N)
-    occupancy_total: np.ndarray  # (B, N)
-    zone_occupancy: np.ndarray  # (B, N, Z)
-    lighting: np.ndarray  # (B, N)
-    zone_heat_w: np.ndarray  # (B, N, Z)
-    tstat_matrix: np.ndarray  # (B, 2, Z)
-    tstat_noise: np.ndarray  # (B, N, 2)
-    diffuser_idx: List[np.ndarray]  # shared within the cohort
-    front_idx: np.ndarray
-    front_full_flow: np.ndarray  # (B,)
-    thermostat_draft: np.ndarray  # (B,)
-    blend: np.ndarray  # (B, V, 2)
-    setpoint: np.ndarray  # (B, 1)
-    kp: np.ndarray  # (B, 1)
-    ki: np.ndarray  # (B, 1)
-    integrator_decay: float  # shared: exp(-dt/7200) at the fleet's dt
-    integrator_limit: np.ndarray  # (B, 1)
-    standby_flow_cmd: np.ndarray  # (B, 1)
-    vav_min_flow: np.ndarray  # (B, 1)
-    vav_max_flow: np.ndarray  # (B, 1)
-    vav_flow_span: np.ndarray  # (B, 1)
-    cold_deck_temp: np.ndarray  # (B,)
-    reheat_max_temp: np.ndarray  # (B,)
-    alpha_flow: np.ndarray  # (B, 1)
-    alpha_temp: np.ndarray  # (B, 1)
-    #: Stacked RC network (the per-building matrices of RCNetwork).
-    mixing: np.ndarray  # (B, Z, Z)
-    infiltration: np.ndarray  # (B, Z)
-    exterior: np.ndarray  # (B, Z)
-    mass_coupling: np.ndarray  # (B, 1)
-    ground_conductance: np.ndarray  # (B, 1)
-    ground_temp: np.ndarray  # (B, 1)
-    zone_capacitance: np.ndarray  # (B, 1)
-    mass_capacitance: np.ndarray  # (B, 1)
-    fractions_t: np.ndarray  # (B, Z, D) diffuser->zone flow fractions, transposed
-    substeps: int
-    substep_h: float
-    #: Room balances.
-    room_volume: np.ndarray  # (B,)
-    air_density: float
-    air_mass: np.ndarray  # (B,)
-    occupant_moisture: float
-    outdoor_rh: float
-    coil_saturation_fraction: float
-
-
-@dataclass
-class FleetState:
-    """Mutable cross-step state of one cohort, leading axis = building."""
-
-    zone_temps: np.ndarray  # (B, Z)
-    mass_temps: np.ndarray  # (B, Z)
-    vav_flows: np.ndarray  # (B, V)
-    vav_discharge: np.ndarray  # (B, V)
-    pi_integrators: np.ndarray  # (B, V)
-    co2_ppm: np.ndarray  # (B,)
-    moisture_ratio: np.ndarray  # (B,)
-    # -- per-step scratch --
-    tstat_reading: Optional[np.ndarray] = None  # (B, 2)
-    diffuser_flows: Optional[np.ndarray] = None  # (B, D)
-    diffuser_temps: Optional[np.ndarray] = None  # (B, D)
-    zone_flow_kgs: Optional[np.ndarray] = None  # (B, Z)
-    zone_supply_temp_c: Optional[np.ndarray] = None  # (B, Z)
-    zone_heat_w: Optional[np.ndarray] = None  # (B, Z)
-    ambient_c: Optional[np.ndarray] = None  # (B,)
-
-
-@dataclass
-class FleetChunk:
-    """One slab of batched trajectory; ``building(b)`` slices a solo chunk."""
-
-    index: int
-    start: int
-    stop: int
-    zone_temps: np.ndarray  # (B, rows, Z)
-    mass_temps: np.ndarray
-    vav_flows: np.ndarray  # (B, rows, V)
-    vav_temps: np.ndarray
-    co2: np.ndarray  # (B, rows)
-    humidity_ratio: np.ndarray
-    thermostat_readings: np.ndarray  # (B, rows, 2)
-    thermostat_true: np.ndarray
-    occupancy: np.ndarray  # (B, rows)
-    zone_occupancy: np.ndarray  # (B, rows, Z)
-    lighting: np.ndarray  # (B, rows)
-    ambient: np.ndarray  # (B, rows)
-
-    @classmethod
-    def allocate(cls, index: int, start: int, stop: int, plan: FleetPlan) -> "FleetChunk":
-        """Preallocate batched buffers and slice the exogenous inputs."""
-        rows = stop - start
-        b = plan.n_buildings
-        return cls(
-            index=index,
-            start=start,
-            stop=stop,
-            zone_temps=np.empty((b, rows, plan.n_zones)),
-            mass_temps=np.empty((b, rows, plan.n_zones)),
-            vav_flows=np.empty((b, rows, plan.n_vavs)),
-            vav_temps=np.empty((b, rows, plan.n_vavs)),
-            co2=np.empty((b, rows)),
-            humidity_ratio=np.empty((b, rows)),
-            thermostat_readings=np.empty((b, rows, 2)),
-            thermostat_true=np.empty((b, rows, 2)),
-            occupancy=plan.occupancy_total[:, start:stop],
-            zone_occupancy=plan.zone_occupancy[:, start:stop],
-            lighting=plan.lighting[:, start:stop],
-            ambient=plan.ambient[:, start:stop],
-        )
-
-    def building(self, b: int) -> SimulationChunk:
-        """Extract building ``b``'s slice as a solo-compatible chunk."""
-        return SimulationChunk(
-            index=self.index,
-            start=self.start,
-            stop=self.stop,
-            zone_temps=self.zone_temps[b].copy(),
-            mass_temps=self.mass_temps[b].copy(),
-            vav_flows=self.vav_flows[b].copy(),
-            vav_temps=self.vav_temps[b].copy(),
-            co2=self.co2[b].copy(),
-            humidity_ratio=self.humidity_ratio[b].copy(),
-            thermostat_readings=self.thermostat_readings[b].copy(),
-            thermostat_true=self.thermostat_true[b].copy(),
-            occupancy=self.occupancy[b].copy(),
-            zone_occupancy=self.zone_occupancy[b].copy(),
-            lighting=self.lighting[b].copy(),
-            ambient=self.ambient[b].copy(),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels
-# ---------------------------------------------------------------------------
-
-
-def _sat_ratio(temp_c: np.ndarray) -> np.ndarray:
-    """Vectorized saturation humidity ratio (mirrors the scalar helper)."""
-    psat = 610.94 * np.exp(17.625 * temp_c / (temp_c + 243.04))
-    return EPSILON * psat / (ATMOSPHERIC_PRESSURE - psat)
-
-
-class FleetThermostatTap:
-    """Batched :class:`~repro.simulation.kernels.ThermostatTap`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        tstat = np.matmul(plan.tstat_matrix, state.zone_temps[:, :, None])[:, :, 0]
-        front_flow = state.vav_flows[:, plan.front_idx].sum(axis=1)
-        front_discharge = state.vav_discharge[:, plan.front_idx].mean(axis=1)
-        plume = plan.thermostat_draft * np.minimum(front_flow / plan.front_full_flow, 1.0)
-        tstat = (1.0 - plume)[:, None] * tstat + (plume * front_discharge)[:, None]
-        chunk.thermostat_true[:, row] = tstat
-        tstat = tstat + plan.tstat_noise[:, k]
-        chunk.thermostat_readings[:, row] = tstat
-        state.tstat_reading = tstat
-
-
-class FleetPlantStep:
-    """Batched :class:`~repro.simulation.kernels.PlantStep`.
-
-    The schedule branch is per building here, so both branches are
-    evaluated for every lane and the outcome is ``np.where``-selected.
-    Pure lane selection keeps the kept lane's floats untouched; the
-    discarded lane's arithmetic can't leak (no in-place masked update).
-    """
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def _occupied_branch(self, state: FleetState) -> Tuple[np.ndarray, np.ndarray]:
-        """PI control for every lane: (integrators, flow setpoint)."""
-        plan = self.plan
-        integrators = state.pi_integrators
-        controlling = np.matmul(plan.blend, state.tstat_reading[:, :, None])[:, :, 0]
-        errors = controlling - plan.setpoint
-        demand_now = plan.kp * errors + plan.ki * integrators
-        saturated_same_sign = ((demand_now >= 1.0) & (errors > 0.0)) | (
-            (demand_now <= 0.0) & (errors < 0.0)
-        )
-        decayed = integrators * plan.integrator_decay
-        occ_int = np.where(saturated_same_sign, decayed, decayed + errors * plan.dt / 3600.0)
-        occ_int = np.clip(occ_int, -plan.integrator_limit, plan.integrator_limit)
-        demand = plan.kp * errors + plan.ki * occ_int
-        cooling = np.clip(demand, 0.0, 1.0)
-        flow_cmd = plan.vav_min_flow + cooling * plan.vav_flow_span
-        return occ_int, np.clip(flow_cmd, plan.vav_min_flow, plan.vav_max_flow)
-
-    def _unoccupied_temp(self, state: FleetState) -> np.ndarray:
-        """Standby discharge setpoint: the clipped zone-mean return temp."""
-        plan = self.plan
-        return_temp_c = state.zone_temps.mean(axis=1)
-        return np.clip(return_temp_c, plan.cold_deck_temp, plan.reheat_max_temp)
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        flows = state.vav_flows
-        discharge = state.vav_discharge
-
-        # Schedules differ per building, but most steps are uniform
-        # (deep night / mid-day), so the mixed-lane selection is the
-        # slow path.  The fast paths produce exactly what np.where
-        # would have selected for an all-True / all-False mask.
-        occ = plan.occupied[:, k]
-        temp_setpoint: np.ndarray
-        if occ.all():
-            occ_int, flow_setpoint = self._occupied_branch(state)
-            state.pi_integrators = occ_int
-            temp_setpoint = plan.cold_deck_temp
-        elif not occ.any():
-            state.pi_integrators = np.zeros_like(state.pi_integrators)
-            flow_setpoint = plan.standby_flow_cmd
-            temp_setpoint = self._unoccupied_temp(state)
-        else:
-            occ_int, occ_flow_setpoint = self._occupied_branch(state)
-            unocc_temp_setpoint = self._unoccupied_temp(state)
-            state.pi_integrators = np.where(occ[:, None], occ_int, 0.0)
-            flow_setpoint = np.where(occ[:, None], occ_flow_setpoint, plan.standby_flow_cmd)
-            temp_setpoint = np.where(occ, plan.cold_deck_temp, unocc_temp_setpoint)
-
-        flows += plan.alpha_flow * (flow_setpoint - flows)
-        discharge += plan.alpha_temp * (temp_setpoint[:, None] - discharge)
-        chunk.vav_flows[:, row] = flows
-        chunk.vav_temps[:, row] = discharge
-
-
-class FleetDiffuserMix:
-    """Batched :class:`~repro.simulation.kernels.DiffuserMix`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        flows = state.vav_flows
-        discharge = state.vav_discharge
-        diffuser_flows = state.diffuser_flows
-        diffuser_temps = state.diffuser_temps
-        for d, idx in enumerate(plan.diffuser_idx):
-            fed = flows[:, idx]
-            f = fed.sum(axis=1)
-            diffuser_flows[:, d] = f
-            if idx.size:
-                gathered = discharge[:, idx]
-                dots = np.matmul(fed[:, None, :], gathered[:, :, None])[:, 0, 0]
-                diffuser_temps[:, d] = np.where(f > 1e-12, dots / f, gathered.mean(axis=1))
-            else:
-                diffuser_temps[:, d] = 0.0
-        # Supply projection: the batched _supply_core of each network.
-        zone_volume_flow = np.matmul(plan.fractions_t, diffuser_flows[:, :, None])[:, :, 0]
-        weighted_temp = np.matmul(
-            plan.fractions_t, (diffuser_flows * diffuser_temps)[:, :, None]
-        )[:, :, 0]
-        zone_temp = np.where(
-            zone_volume_flow > 1e-12,
-            weighted_temp / np.maximum(zone_volume_flow, 1e-12),
-            diffuser_temps.mean(axis=1)[:, None],
-        )
-        state.zone_flow_kgs = AIR_DENSITY * zone_volume_flow
-        state.zone_supply_temp_c = zone_temp
-        state.zone_heat_w = plan.zone_heat_w[:, k]
-
-
-class FleetThermalIntegrate:
-    """Batched :class:`~repro.simulation.kernels.ThermalIntegrate`."""
-
-    def __init__(self, plan: FleetPlan) -> None:
-        self.plan = plan
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        ambient = plan.ambient[:, k]
-        state.ambient_c = ambient
-        chunk.zone_temps[:, row] = state.zone_temps
-        chunk.mass_temps[:, row] = state.mass_temps
-        z = state.zone_temps
-        m = state.mass_temps
-        h = plan.substep_h
-        amb = ambient[:, None]
-        flow_kgs = state.zone_flow_kgs
-        supply_t_c = state.zone_supply_temp_c
-        heat_w = state.zone_heat_w
-        for _ in range(plan.substeps):
-            supply = flow_kgs * AIR_CP * (supply_t_c - z)
-            q_air = (
-                np.matmul(plan.mixing, z[:, :, None])[:, :, 0]
-                + plan.mass_coupling * (m - z)
-                + plan.infiltration * (amb - z)
-                + supply
-                + heat_w
-            )
-            q_mass = (
-                plan.mass_coupling * (z - m)
-                + plan.exterior * (amb - m)
-                + plan.ground_conductance * (plan.ground_temp - m)
-            )
-            dz = q_air / plan.zone_capacitance
-            dm = q_mass / plan.mass_capacitance
-            z += h * dz
-            m += h * dm
-        finite = np.isfinite(z).all(axis=1) & np.isfinite(m).all(axis=1)
-        if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
-            raise SimulationError(
-                f"thermal state diverged at step {k} (chunk {chunk.index}) "
-                f"for fleet building(s) {bad}; the configuration is outside "
-                "the stable regime"
-            )
-
-
-class FleetCO2Balance:
-    """Batched :class:`~repro.simulation.kernels.CO2Balance`."""
-
-    def __init__(
-        self, plan: FleetPlan, co2_per_person: float, outdoor_ppm: float, fresh_fraction: float
-    ) -> None:
-        self.plan = plan
-        self.co2_per_person = co2_per_person
-        self.outdoor_ppm = outdoor_ppm
-        self.fresh_fraction = fresh_fraction
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        fresh_flow = self.fresh_fraction * state.diffuser_flows.sum(axis=1)
-        generation_ppm = (
-            plan.occupancy_total[:, k] * self.co2_per_person / plan.room_volume * 1e6
-        )
-        exchange = fresh_flow / plan.room_volume
-        co2 = state.co2_ppm
-        co2 = co2 + plan.dt * (generation_ppm - exchange * (co2 - self.outdoor_ppm))
-        state.co2_ppm = co2
-        chunk.co2[:, row] = co2
-
-
-class FleetMoistureStep:
-    """Batched :class:`~repro.simulation.kernels.MoistureStep`."""
-
-    def __init__(self, plan: FleetPlan, fresh_fraction: float) -> None:
-        self.plan = plan
-        self.fresh_fraction = fresh_fraction
-
-    def step(self, state: FleetState, k: int, row: int, chunk: FleetChunk) -> None:
-        plan = self.plan
-        diffuser_flows = state.diffuser_flows
-        diffuser_temps = state.diffuser_temps
-        total_flow = diffuser_flows.sum(axis=1)
-        if diffuser_temps.shape[1]:
-            dots = np.matmul(diffuser_flows[:, None, :], diffuser_temps[:, :, None])[:, 0, 0]
-            mean_discharge = np.where(
-                total_flow > 1e-12, dots / total_flow, diffuser_temps.mean(axis=1)
-            )
-        else:
-            mean_discharge = np.zeros_like(total_flow)
-        # MoistureBalance.step, vectorized over the fleet.
-        w_out = plan.outdoor_rh / 100.0 * _sat_ratio(state.ambient_c)
-        ratio = state.moisture_ratio
-        w_mix = (1.0 - self.fresh_fraction) * ratio + self.fresh_fraction * w_out
-        w_coil_cap = plan.coil_saturation_fraction * _sat_ratio(mean_discharge)
-        w_supply = np.minimum(w_mix, w_coil_cap)
-        exchange = total_flow * plan.air_density / plan.air_mass
-        generation = plan.occupancy_total[:, k] * plan.occupant_moisture / plan.air_mass
-        ratio = ratio + plan.dt * (exchange * (w_supply - ratio) + generation)
-        ratio = np.maximum(ratio, 0.0)
-        state.moisture_ratio = ratio
-        chunk.humidity_ratio[:, row] = ratio
-
-
-def build_fleet_kernels(
-    plan: FleetPlan, co2_per_person: float, outdoor_ppm: float, fresh_fraction: float
-) -> Sequence[object]:
-    """The ordered batched kernel pipeline for one cohort."""
-    return (
-        FleetThermostatTap(plan),
-        FleetPlantStep(plan),
-        FleetDiffuserMix(plan),
-        FleetThermalIntegrate(plan),
-        FleetCO2Balance(plan, co2_per_person, outdoor_ppm, fresh_fraction),
-        FleetMoistureStep(plan, fresh_fraction),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Cohorts and the fleet simulator
 # ---------------------------------------------------------------------------
 
@@ -786,77 +357,6 @@ def _cohort_key(plan: KernelPlan) -> tuple:
     )
 
 
-def _stack_plans(plans: Sequence[KernelPlan]) -> FleetPlan:
-    """Stack per-building solo plans into one cohort ``FleetPlan``."""
-    for plan in plans:
-        if plan.supervisory_controller is not None:
-            raise ConfigurationError("fleet batching does not support supervisory controllers")
-    p0 = plans[0]
-
-    def stack(attr: str) -> np.ndarray:
-        return np.stack([getattr(p, attr) for p in plans])
-
-    def column(values: Iterable[float]) -> np.ndarray:
-        return np.array(list(values), dtype=float)[:, None]
-
-    def row(values: Iterable[float]) -> np.ndarray:
-        return np.array(list(values), dtype=float)
-
-    moisture_cfg = MoistureConfig()
-    air_density = 1.2  # MoistureBalance's default, as the solo path uses
-    room_volume = row(p.room_volume for p in plans)
-    return FleetPlan(
-        n_buildings=len(plans),
-        n_steps=p0.n_steps,
-        dt=p0.dt,
-        n_zones=p0.n_zones,
-        n_vavs=p0.n_vavs,
-        occupied=stack("occupied"),
-        ambient=stack("ambient"),
-        occupancy_total=stack("occupancy_total"),
-        zone_occupancy=stack("zone_occupancy"),
-        lighting=stack("lighting"),
-        zone_heat_w=stack("zone_heat_w"),
-        tstat_matrix=stack("tstat_matrix"),
-        tstat_noise=stack("tstat_noise"),
-        diffuser_idx=p0.diffuser_idx,
-        front_idx=p0.front_idx,
-        front_full_flow=row(p.front_full_flow for p in plans),
-        thermostat_draft=row(p.thermostat_draft for p in plans),
-        blend=stack("blend"),
-        setpoint=column(p.setpoint for p in plans),
-        kp=column(p.kp for p in plans),
-        ki=column(p.ki for p in plans),
-        integrator_decay=p0.integrator_decay,
-        integrator_limit=column(p.integrator_limit for p in plans),
-        standby_flow_cmd=column(p.standby_flow_cmd for p in plans),
-        vav_min_flow=column(p.vav_min_flow for p in plans),
-        vav_max_flow=column(p.vav_max_flow for p in plans),
-        vav_flow_span=column(p.vav_flow_span for p in plans),
-        cold_deck_temp=row(p.cold_deck_temp for p in plans),
-        reheat_max_temp=row(p.reheat_max_temp for p in plans),
-        alpha_flow=column(p.alpha_flow for p in plans),
-        alpha_temp=column(p.alpha_temp for p in plans),
-        mixing=np.stack([p.network._mixing for p in plans]),
-        infiltration=np.stack([p.network._infiltration for p in plans]),
-        exterior=np.stack([p.network._exterior for p in plans]),
-        mass_coupling=column(p.network.config.mass_coupling for p in plans),
-        ground_conductance=column(p.network.config.ground_conductance for p in plans),
-        ground_temp=column(p.network.config.ground_temp for p in plans),
-        zone_capacitance=column(p.network.config.zone_capacitance for p in plans),
-        mass_capacitance=column(p.network.config.mass_capacitance for p in plans),
-        fractions_t=np.stack([p.network._diffuser_fractions.T for p in plans]),
-        substeps=p0.substeps,
-        substep_h=p0.substep_h,
-        room_volume=room_volume,
-        air_density=air_density,
-        air_mass=air_density * room_volume,
-        occupant_moisture=moisture_cfg.occupant_moisture,
-        outdoor_rh=moisture_cfg.outdoor_rh,
-        coil_saturation_fraction=moisture_cfg.coil_saturation_fraction,
-    )
-
-
 class _Cohort:
     """One batch of same-shape buildings integrated together."""
 
@@ -868,80 +368,15 @@ class _Cohort:
     ) -> None:
         self.slots = list(slots)
         self.simulators = list(simulators)
-        self.plan = _stack_plans(plans)
+        self.plan = stack_plans(plans)
 
     @property
     def n_buildings(self) -> int:
         return len(self.slots)
 
-    def _initial_state(self) -> FleetState:
-        zone, mass, flows, discharge, ratios = [], [], [], [], []
-        for sim in self.simulators:
-            cfg = sim.config
-            sim.plant.reset()
-            z, m = sim.network.initial_state(cfg.initial_temp)
-            zone.append(z)
-            mass.append(m)
-            flows.append(sim.plant.flows())
-            discharge.append(sim.plant.discharge_temps())
-            ratios.append(
-                humidity_ratio_from_rh(MoistureConfig().initial_rh, cfg.initial_temp)
-            )
-        b = len(self.simulators)
-        n_diffusers = len(self.plan.diffuser_idx)
-        return FleetState(
-            zone_temps=np.stack(zone),
-            mass_temps=np.stack(mass),
-            vav_flows=np.stack(flows),
-            vav_discharge=np.stack(discharge),
-            pi_integrators=np.zeros((b, self.plan.n_vavs)),
-            co2_ppm=np.full(b, OUTDOOR_CO2_PPM),
-            moisture_ratio=np.array(ratios, dtype=float),
-            diffuser_flows=np.zeros((b, n_diffusers)),
-            diffuser_temps=np.zeros((b, n_diffusers)),
-        )
-
-    def _writeback_plants(self, state: FleetState) -> None:
-        for b, sim in enumerate(self.simulators):
-            for i, vav in enumerate(sim.plant.vavs):
-                vav._flow = float(state.vav_flows[b, i])
-                vav._discharge_temp = float(state.vav_discharge[b, i])
-            sim.plant._integrators[:] = state.pi_integrators[b]
-
-    def iter_chunks(self, chunk_steps: Optional[int] = None) -> Iterator[FleetChunk]:
-        """Stream the cohort's batched trajectory as :class:`FleetChunk` slabs."""
-        plan = self.plan
-        state = self._initial_state()
-        kernels = build_fleet_kernels(
-            plan, CO2_PER_PERSON, OUTDOOR_CO2_PPM, FRESH_AIR_FRACTION
-        )
-        steps = [kernel.step for kernel in kernels]
-        n = plan.n_steps
-        size = n if chunk_steps is None else int(chunk_steps)
-        if size < 1:
-            raise ConfigurationError("chunk_steps must be at least 1")
-        for index, start in enumerate(range(0, n, size)):
-            stop = min(start + size, n)
-            chunk = FleetChunk.allocate(index, start, stop, plan)
-            # Zero-flow lanes divide 0/0 inside np.where-selected branches
-            # (the selected value is always finite); hoisting one errstate
-            # over the step loop avoids paying the seterr round-trip per
-            # kernel call.  Divergence is still caught by the explicit
-            # isfinite gate in FleetThermalIntegrate and the per-chunk
-            # contracts below.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                for k in range(start, stop):
-                    r = k - start
-                    for kernel_step in steps:
-                        kernel_step(state, k, r, chunk)
-            where = f"fleet chunk {index}, steps {start}:{stop}"
-            ensure_finite(chunk.zone_temps, f"simulated zone temperatures ({where})")
-            ensure_finite(chunk.mass_temps, f"simulated mass temperatures ({where})")
-            ensure_unit_range(
-                chunk.zone_temps, -40.0, 70.0, f"simulated zone temperatures (°C) ({where})"
-            )
-            yield chunk
-        self._writeback_plants(state)
+    def iter_chunks(self, chunk_steps: Optional[int] = None) -> Iterator[BatchChunk]:
+        """Stream the cohort's batched trajectory as :class:`BatchChunk` slabs."""
+        yield from integrate(self.plan, self.simulators, chunk_steps, label="fleet chunk")
 
 
 @dataclass

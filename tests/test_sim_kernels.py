@@ -24,6 +24,7 @@ from repro.core.artifacts import (
 from repro.errors import ConfigurationError, SimulationError
 from repro.geometry import Point
 from repro.simulation import AuditoriumSimulator, SimulationConfig
+from repro.simulation.kernels import integrate, stack_plans
 from repro.simulation.rc_network import RCNetworkConfig
 
 #: Every array a SimulationResult carries; parity is over all of them.
@@ -119,6 +120,35 @@ class TestParityAcrossModels:
         ).run_loop()
         assert_results_identical(chunked, whole)
         assert_results_identical(loop, whole)
+
+    def test_controller_with_wrong_command_count_rejected(self):
+        class WrongCount(StubController):
+            def decide(self, step, hour_of_day, readings, dt):
+                return np.full(3, 0.05)  # the plant drives 4 VAVs
+
+        simulator = AuditoriumSimulator(
+            SimulationConfig(days=0.5), supervisory_controller=WrongCount()
+        )
+        with pytest.raises(ConfigurationError, match="expected 4 flow commands"):
+            simulator.run()
+
+    def test_batch_lanes_carry_their_own_controllers(self):
+        # One lane on a controller, one on the built-in PI: the batch
+        # mixes override and PI lanes per step, and each lane must still
+        # match its own reference loop.
+        config = SimulationConfig(days=0.5)
+        controlled = AuditoriumSimulator(config, supervisory_controller=StubController())
+        plain = AuditoriumSimulator(dataclasses.replace(config, seed=5))
+        plan = stack_plans([controlled._build_plan(), plain._build_plan()])
+        chunks = list(integrate(plan, [controlled, plain], chunk_steps=101))
+        batched = [controlled.assemble(c.building(0) for c in chunks),
+                   plain.assemble(c.building(1) for c in chunks)]
+        references = [
+            AuditoriumSimulator(config, supervisory_controller=StubController()).run_loop(),
+            AuditoriumSimulator(dataclasses.replace(config, seed=5)).run_loop(),
+        ]
+        for lane, reference in zip(batched, references):
+            assert_results_identical(lane, reference)
 
 
 class TestChunkDriver:
