@@ -142,19 +142,6 @@ class RCNetwork:
         by each zone (zones receiving no air get the mean supply temp,
         irrelevant since their flow is 0).
         """
-        return self._supply_core(diffuser_flows, diffuser_temps)
-
-    def _supply_core(
-        self, diffuser_flows: np.ndarray, diffuser_temps: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Body of :meth:`supply_to_zones` without the contract wrapper.
-
-        The step-kernel engine calls this directly: the ``check_shapes``
-        signature bind costs more than the arithmetic at one call per
-        simulated step, and the kernel plan fixes the shapes by
-        construction (the explicit diffuser-count check below still
-        runs).
-        """
         flows = np.asarray(diffuser_flows, dtype=float)
         temps = np.asarray(diffuser_temps, dtype=float)
         n_diffusers = self._diffuser_fractions.shape[0]
